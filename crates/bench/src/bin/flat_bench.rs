@@ -2,15 +2,14 @@
 //! flash-crowd-scale slot instances.
 //!
 //! Measures per-slot auction latency on 10³–10⁴-request welfare instances
-//! for the PR 4 sharded engine ([`p2p_core::ShardedAuction`]) and the flat
-//! CSR engine ([`p2p_core::csr::FlatAuction`]) at matching shard counts
+//! for the nested multi-shard oracle ([`p2p_core::ShardedAuction`]) and the
+//! flat CSR engine ([`p2p_core::csr::FlatAuction`]) at matching shard counts
 //! (plus the sequential sweep and `shards = auto`), checks every outcome
 //! against the Theorem 1 `n·ε` certificate and the sync oracle's welfare,
 //! and — because the flat engine is the *same* auction over a different
 //! memory layout — hard-fails unless each flat run is **bit-identical**
 //! (welfare, rounds, bids) to its nested counterpart. Results land in
-//! `BENCH_flat.json` at the repo root, comparable row-for-row with
-//! `BENCH_parallel.json`.
+//! `BENCH_flat.json` at the repo root.
 //!
 //! Usage:
 //!   `flat_bench [--quick] [--simd] [--out PATH]`
@@ -47,7 +46,7 @@ use p2p_types::Result;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// The ε every engine runs with (matches `shard_bench`): large instances
+/// The ε every engine runs with: large instances
 /// carry structural near-ties, so the deployable ε > 0 configuration is
 /// the meaningful comparison.
 const EPSILON: f64 = 0.01;
@@ -79,9 +78,8 @@ fn best_of<T>(mut run: impl FnMut() -> Result<T>) -> Result<(u128, T)> {
     Ok((wall_ns, last.expect("timed passes ran")))
 }
 
-/// A flash-crowd-shaped slot, identical in shape to `shard_bench`'s: total
-/// upload capacity ≈ 28% of demand, deep per-provider allocation sets and
-/// ~24 candidate edges per request.
+/// A flash-crowd-shaped slot: total upload capacity ≈ 28% of demand, deep
+/// per-provider allocation sets and ~24 candidate edges per request.
 fn bench_instance(seed: u64, requests: usize) -> WelfareInstance {
     let providers = (requests / 16).max(4);
     p2p_bench::instances::random_instance(seed, providers, requests, 8, 24)

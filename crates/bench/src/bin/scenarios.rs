@@ -7,7 +7,8 @@
 //!     enumerate the built-in scenarios;
 //!   `scenarios --scenario flash_crowd [--quick] [--seed S] [--schedulers auction_flat,locality]
 //!              [--slot-build cold|incremental] [--shards auto|N]`
-//!     run a built-in scenario;
+//!     run a built-in scenario (`--shards` sets the shard count of the flat
+//!     auctions, `auction_flat` and `auction_flat_warm`);
 //!   `scenarios --scenario flash_crowd --backend sim [--net ideal|lan|lossy]`
 //!     run on the virtual-time swarm backend: the default comparison pair
 //!     becomes `auction_sim,auction_flat` (DES swarm vs in-process engine)

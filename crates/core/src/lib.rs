@@ -16,14 +16,14 @@
 //! bandwidth units at price `λ_u` (the dual variable of its capacity
 //! constraint) and every request bids at the provider offering the largest
 //! net utility `v − w − λ`, with bid `b = λ* + φ* − φ̂` (best-minus-second
-//! margin). Three interchangeable executions of the same bidder/auctioneer
+//! margin). Several interchangeable executions of the same bidder/auctioneer
 //! logic are provided:
 //!
 //! * [`engine::SyncAuction`] — deterministic synchronous rounds (fast path
 //!   used by schedulers, tests and benchmarks);
-//! * [`shard::ShardedAuction`] — sharded Jacobi rounds with batched price
-//!   updates and price-delta worklists, for 10³–10⁴-request slots (parallel
-//!   across cores when the machine has them);
+//! * [`shard::ShardedAuction`] — the batched multi-shard schedule over the
+//!   nested layout, run sequentially: the bit-identity oracle for
+//!   [`csr::FlatAuction`] at two or more shards;
 //! * [`csr::FlatAuction`] — the same sequential and sharded schedules over
 //!   a flat CSR compilation of the instance ([`csr::CsrInstance`]) with
 //!   reusable scratch: zero heap allocations in the hot loop after

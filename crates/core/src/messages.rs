@@ -1,6 +1,7 @@
 //! Protocol messages exchanged by bidders and auctioneers in asynchronous
-//! executions (the discrete-event engine in [`crate::dist`] and the
-//! threaded runtime in the `p2p-runtime` crate share this vocabulary).
+//! executions (the discrete-event engine in [`crate::dist`], the
+//! virtual-time swarm in [`crate::swarm`] and the networked runtime in the
+//! `p2p-net` crate share this vocabulary).
 
 use crate::instance::{ProviderIdx, RequestIdx};
 use serde::{Deserialize, Serialize};

@@ -1,8 +1,6 @@
 //! Transport-agnostic protocol state machines for the distributed auction.
 //!
-//! The per-peer bid/price logic used to live twice: once inside the
-//! threaded runtime's actor closures and once inside the discrete-event
-//! world of [`crate::dist`]. This module extracts it into two pure state
+//! This module holds the per-peer bid/price logic as two pure state
 //! machines — [`BidderNode`] (one per request) and [`AuctioneerNode`] (one
 //! per provider) — that know nothing about threads, channels, wall clocks
 //! or event queues. A transport feeds them messages and forwards the
@@ -11,13 +9,13 @@
 //!
 //! Three transports drive these machines today:
 //!
-//! * the threaded runtime (`p2p_runtime`): real OS threads, crossbeam
-//!   mailboxes, wall-clock latency — the paper's emulator style;
 //! * the reactive discrete-event world ([`crate::dist`]): virtual-time
 //!   message races with per-link latency, reproducing Fig. 2;
 //! * the virtual-time swarm backend ([`crate::swarm`]): logical actors on
 //!   the simulator's event queue with a seeded fault-injecting network
-//!   model, scaling to 10⁵ peers in seconds.
+//!   model, scaling to 10⁵ peers in seconds;
+//! * the networked runtime (the `p2p-net` crate): tracker and peer
+//!   processes exchanging wire frames over TCP.
 //!
 //! The split between [`BidderNode::absorb`] (state update only) and
 //! [`BidderNode::poll`] (emit a bid if one is due) is what lets one state
@@ -39,8 +37,8 @@ use crate::messages::AuctionMsg;
 pub enum LearnPolicy {
     /// Keep the maximum ever observed. Correct whenever prices are
     /// monotone within a run (no departures), and robust to reordered or
-    /// duplicated observations — the policy of the threaded runtime and
-    /// the swarm backend.
+    /// duplicated observations — the policy of the swarm backend and the
+    /// networked runtime.
     Monotone,
     /// Believe the latest observation. Required when departures can
     /// *reset* prices (Sec. IV-C): a release genuinely lowers λ and the

@@ -1,23 +1,19 @@
-//! Sharded parallel execution of the auction: per-shard bid batches merged
-//! through the unchanged auctioneer logic, with permanent retirement of
-//! priced-out requests.
+//! The nested-layout multi-shard auction: the sequential bit-identity
+//! oracle for [`crate::csr::FlatAuction`] at two or more shards.
 //!
-//! [`crate::engine::SyncAuction`] is a Gauss–Seidel sweep: one thread walks
-//! the unassigned requests in index order and every bid updates prices
-//! immediately. That is the simplest *sequential* schedule, but it cannot
-//! use more than one core and it re-scans every unassigned request each
-//! round even when nothing they can see has changed. [`ShardedAuction`]
-//! runs the *same* bidder and auctioneer logic
-//! ([`crate::bidder::decide_bid`], [`crate::auctioneer::Auctioneer`]) in a
-//! schedule built for 10³–10⁴-request slots:
+//! [`crate::engine::SyncAuction`] is a Gauss–Seidel sweep: every bid updates
+//! prices immediately, in request index order. At `shards ≥ 2` the flat
+//! engine runs a different, batched schedule of the same bidder and
+//! auctioneer logic ([`crate::bidder::decide_bid`],
+//! [`crate::auctioneer::Auctioneer`]); [`ShardedAuction`] runs that
+//! schedule over the nested [`WelfareInstance`] layout, one slice at a time
+//! on the calling thread, so tests can check the production engine against
+//! it bit for bit. The schedule:
 //!
 //! 1. **Shard bidding.** Each round partitions the active requests into
-//!    `shards` contiguous slices. One slice at a time, every request in the
-//!    slice computes its bid against a read-only snapshot of the current
-//!    prices — a pure function, so when the machine has cores to spare the
-//!    slice fans out across `min(shards, cores)` worker threads (with one
-//!    core it runs on the calling thread — identical results either way,
-//!    see *Determinism* below).
+//!    `shards` contiguous slices (four times as many in round 1, where
+//!    conflicts concentrate). Every request in a slice computes its bid
+//!    against a read-only snapshot of the current prices.
 //! 2. **Batched merge per shard.** A slice's bids are applied through the
 //!    unchanged [`Auctioneer`](crate::auctioneer::Auctioneer) state machine
 //!    in one deterministic pass, sorted by descending amount (conflicts on
@@ -27,16 +23,10 @@
 //!    the round bid against fresh prices — a block-Gauss–Seidel schedule —
 //!    and a bounded number of same-round retry passes lets evicted and
 //!    rejected requests re-decide immediately instead of waiting a full
-//!    round, so batching does not inflate the bid-round count.
+//!    round.
 //! 3. **Retirement.** Prices are monotone within a run, so a request whose
 //!    best net utility has gone negative can never become profitable again
-//!    — it is dropped from all future rounds. The synchronous engine keeps
-//!    re-scanning priced-out requests until global quiescence; on contended
-//!    slots (where a large share of demand ends up priced out, e.g. a flash
-//!    crowd over scarce seeds) this pruning is what lets the sharded engine
-//!    beat the Gauss–Seidel sweep even on a single core, on top of the
-//!    multi-core headroom from (1). `BENCH_parallel.json` records the
-//!    measured per-slot latency wins.
+//!    — it is dropped from all future rounds.
 //!
 //! # Optimality
 //!
@@ -53,16 +43,12 @@
 //!
 //! # Determinism
 //!
-//! A slice's bids depend only on the price snapshot at its merge boundary
-//! (worklists are partitioned by *shard count*, never by thread count), and
-//! each merge applies them in a total order (amount descending, request
+//! A slice's bids depend only on the price snapshot at its merge boundary,
+//! and each merge applies them in a total order (amount descending, request
 //! index ascending) — so the outcome is a pure function of the instance,
-//! the configuration, and the shard count. It does *not* depend on the
-//! number of worker threads, the machine's core count, or thread
-//! scheduling: `ShardCount::Fixed(8)` produces bit-identical outcomes on a
-//! laptop and a 64-core server. Different shard counts are different (all
-//! certified) merge batchings of the same auction, `1` being exactly the
-//! sequential engine.
+//! the configuration, and the shard count. Different shard counts are
+//! different (all certified) merge batchings of the same auction, `1`
+//! being exactly the sequential engine.
 //!
 //! # Examples
 //!
@@ -93,8 +79,6 @@ use crate::solution::{Assignment, DualSolution};
 use p2p_metrics::{AuctionProbe, NoProbe};
 use p2p_types::P2pError;
 use serde::{Deserialize, Serialize};
-use std::sync::mpsc;
-use std::sync::Arc;
 
 /// How many shards a [`ShardedAuction`] partitions its bidding across.
 ///
@@ -227,10 +211,6 @@ struct ShardBid {
     provider: usize,
 }
 
-/// A round's compute phase: fills a [`SliceResult`] for a worklist against
-/// a price snapshot (sequential or fanned out to worker threads).
-type RoundExec<'a> = dyn FnMut(&[usize], &[f64], &mut SliceResult) + 'a;
-
 /// What one shard computed for its slice of the round's worklist.
 #[derive(Debug, Default)]
 struct SliceResult {
@@ -240,21 +220,18 @@ struct SliceResult {
     retired: Vec<usize>,
 }
 
-/// The sharded parallel auction engine. See the [module docs](self).
+/// The sequential multi-shard auction oracle. See the [module docs](self).
 #[derive(Debug, Clone, Default)]
 pub struct ShardedAuction {
     config: AuctionConfig,
     shards: ShardCount,
-    /// Test/bench override for the OS worker-thread count (normally
-    /// `min(shards, cores)`).
-    workers: Option<usize>,
 }
 
 impl ShardedAuction {
     /// Creates an engine with the given auction configuration and shard
     /// count.
     pub fn new(config: AuctionConfig, shards: ShardCount) -> Self {
-        ShardedAuction { config, shards, workers: None }
+        ShardedAuction { config, shards }
     }
 
     /// The engine's auction configuration.
@@ -273,15 +250,6 @@ impl ShardedAuction {
     /// so tests can pin nested/flat agreement.
     pub fn effective_shards(&self, requests: usize) -> usize {
         self.shards.resolve_for(requests)
-    }
-
-    /// Forces the OS worker-thread count regardless of the machine's core
-    /// count (builder-style). Results are unaffected — this exists so tests
-    /// and benches can exercise the threaded compute path on any machine.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
     }
 
     /// Runs the auction to convergence on `instance`.
@@ -379,8 +347,10 @@ impl ShardedAuction {
         }
     }
 
-    /// Core Jacobi engine: optional warm-start prices, explicit ε. Only
-    /// called with an effective (slot-resolved) shard count ≥ 2.
+    /// Core round loop: optional warm-start prices, explicit ε. Only
+    /// called with an effective (slot-resolved) shard count ≥ 2. Each round
+    /// partitions its worklist into `shards` slices, computes every slice's
+    /// bids against the current prices and merges the slices in order.
     fn run_from<P: AuctionProbe>(
         &self,
         instance: &WelfareInstance,
@@ -390,91 +360,7 @@ impl ShardedAuction {
         probe: &mut P,
     ) -> Result<AuctionOutcome, P2pError> {
         let shards = shards.max(2);
-        let workers =
-            self.workers.unwrap_or_else(|| shards.min(available_cores())).max(1).min(shards);
         let views = edge_views(instance);
-        if workers <= 1 {
-            // Single worker: compute each slice on the calling thread. The
-            // outcome is identical to the threaded path because a slice's
-            // bids are a pure function of (slice, snapshot) and the merge
-            // sorts them into a total order.
-            let mut exec = |slice: &[usize], prices: &[f64], out: &mut SliceResult| {
-                compute_slice(&views, slice, prices, epsilon, out);
-            };
-            return self.rounds_loop(instance, initial_prices, shards, &mut exec, probe);
-        }
-        // Per-run worker threads: spawned lazily on the first slice large
-        // enough to fan out (small runs never pay a spawn), parked on a
-        // channel between slices, joined once at the end of the run by the
-        // scope.
-        std::thread::scope(|scope| {
-            type Cmd = (usize, Vec<usize>, Arc<Vec<f64>>);
-            let (res_tx, res_rx) = mpsc::channel::<(usize, SliceResult)>();
-            let mut cmd_txs: Vec<mpsc::Sender<Cmd>> = Vec::new();
-            let views = &views;
-            let mut exec = |slice: &[usize], prices: &[f64], out: &mut SliceResult| {
-                // Small slices are not worth a round-trip through the
-                // workers; the threshold only affects wall-time, never the
-                // result (bids are a pure function of the snapshot).
-                if slice.len() < 2 * workers {
-                    compute_slice(views, slice, prices, epsilon, out);
-                    return;
-                }
-                if cmd_txs.is_empty() {
-                    for _ in 0..workers {
-                        let (tx, rx) = mpsc::channel::<Cmd>();
-                        cmd_txs.push(tx);
-                        let res_tx = res_tx.clone();
-                        scope.spawn(move || {
-                            while let Ok((idx, chunk, prices)) = rx.recv() {
-                                let mut out = SliceResult::default();
-                                compute_slice(views, &chunk, &prices, epsilon, &mut out);
-                                if res_tx.send((idx, out)).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                    }
-                }
-                let snapshot = Arc::new(prices.to_vec());
-                let per = slice.len().div_ceil(workers).max(1);
-                let mut active = 0usize;
-                for (w, chunk) in slice.chunks(per).enumerate() {
-                    // Unreachable send error: workers outlive the slice.
-                    let _ = cmd_txs[w].send((w, chunk.to_vec(), snapshot.clone()));
-                    active += 1;
-                }
-                // Reassemble in chunk order so the merge input — and with it
-                // every outcome field, including the price trace of merges
-                // whose sort is skipped — is independent of thread timing.
-                let mut parts: Vec<Option<SliceResult>> = (0..active).map(|_| None).collect();
-                for _ in 0..active {
-                    let (idx, part) = res_rx.recv().expect("workers outlive the slice");
-                    parts[idx] = Some(part);
-                }
-                for part in parts.into_iter().flatten() {
-                    out.bids.extend_from_slice(&part.bids);
-                    out.retired.extend_from_slice(&part.retired);
-                }
-            };
-            self.rounds_loop(instance, initial_prices, shards, &mut exec, probe)
-            // Dropping `cmd_txs` here ends the worker loops; the scope joins
-            // them before returning.
-        })
-    }
-
-    /// The round loop shared by the sequential and threaded compute paths:
-    /// `exec` fills a [`SliceResult`] with one slice's bids (and retired
-    /// requests) against the given price snapshot; this loop partitions
-    /// each round's worklist into `shards` slices and merges them in order.
-    fn rounds_loop<P: AuctionProbe>(
-        &self,
-        instance: &WelfareInstance,
-        initial_prices: Option<&[f64]>,
-        shards: usize,
-        exec: &mut RoundExec<'_>,
-        probe: &mut P,
-    ) -> Result<AuctionOutcome, P2pError> {
         let request_count = instance.request_count();
         let mut auctioneers: Vec<Auctioneer> = instance
             .providers()
@@ -554,7 +440,7 @@ impl ShardedAuction {
                 };
                 result.bids.clear();
                 result.retired.clear();
-                exec(slice, &eff_price, &mut result);
+                compute_slice(&views, slice, &eff_price, epsilon, &mut result);
                 for &r in &result.retired {
                     retired[r] = true;
                 }
@@ -673,8 +559,7 @@ impl ShardedAuction {
 }
 
 /// Computes one slice's bids against a read-only price snapshot — the pure
-/// function at the heart of the sharded schedule (safe to fan out across
-/// worker threads in any chunking).
+/// function at the heart of the sharded schedule.
 fn compute_slice(
     views: &[Vec<EdgeView>],
     slice: &[usize],
@@ -796,24 +681,6 @@ mod tests {
         assert_eq!(sharded.assignment, sync.assignment);
         assert_eq!(sharded.duals, sync.duals);
         assert_eq!(sharded.bids_submitted, sync.bids_submitted);
-    }
-
-    #[test]
-    fn forced_worker_threads_match_the_sequential_path() {
-        let inst = contended_instance();
-        let base = ShardedAuction::new(
-            AuctionConfig::with_epsilon(0.01).recording_trace(),
-            ShardCount::Fixed(4),
-        );
-        let sequential = base.clone().with_workers(1).run(&inst).unwrap();
-        let threaded = base.with_workers(3).run(&inst).unwrap();
-        assert_eq!(sequential.assignment, threaded.assignment);
-        assert_eq!(sequential.duals, threaded.duals);
-        assert_eq!(sequential.rounds, threaded.rounds);
-        assert_eq!(sequential.bids_submitted, threaded.bids_submitted);
-        // Including the price trace: merge input order must not depend on
-        // thread timing even for batches whose sort is skipped.
-        assert_eq!(sequential.price_trace, threaded.price_trace);
     }
 
     #[test]

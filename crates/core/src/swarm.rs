@@ -216,7 +216,8 @@ pub struct FaultStats {
 pub struct SwarmConfig {
     /// Bid increment ε (see [`crate::AuctionConfig::epsilon`]). Use ε > 0
     /// under faulty models: racy delivery can freeze ε = 0 on dynamically
-    /// created ties, exactly as in the threaded runtime.
+    /// created ties (a bid can raise a price to exactly another request's
+    /// indifference point, and that request then waits forever).
     pub epsilon: f64,
     /// Safety cap on sweep rounds (ideal mode).
     pub max_rounds: u64,

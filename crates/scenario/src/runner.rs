@@ -4,19 +4,17 @@ use crate::timeline::{Scenario, TimedEvent};
 use p2p_metrics::{RunReport, SlotRecorder};
 use p2p_sched::{
     AuctionScheduler, ChunkScheduler, ExactScheduler, FlatAuctionScheduler, GreedyScheduler,
-    NetAuctionScheduler, NetworkModel, RandomScheduler, ShardedAuctionScheduler,
-    SimAuctionScheduler, SimpleLocalityScheduler, WorkerSpawner,
+    NetAuctionScheduler, NetworkModel, RandomScheduler, SimAuctionScheduler,
+    SimpleLocalityScheduler, WorkerSpawner,
 };
 use p2p_streaming::{ClockMode, ShardCount, System, WorkloadTrace};
 use p2p_types::{P2pError, Result};
 use std::sync::Arc;
 
 /// Scheduler names accepted by [`scheduler_by_name`].
-pub const SCHEDULER_NAMES: [&str; 14] = [
+pub const SCHEDULER_NAMES: [&str; 12] = [
     "auction",
     "auction_warm",
-    "auction_sharded",
-    "auction_sharded_warm",
     "auction_flat",
     "auction_flat_warm",
     "auction_sim",
@@ -51,8 +49,8 @@ pub const SIM_FAULTY_EPSILON: f64 = 0.01;
 pub const NET_DEFAULT_PEERS: usize = 3;
 
 /// Builds a scheduler from its CLI name (`seed` parameterizes the
-/// stochastic ones; the sharded auctions follow the machine's cores —
-/// use [`scheduler_with_shards`] or [`scheduler_for`] to pin the count).
+/// stochastic ones; the flat auctions adapt their shard count to the slot
+/// size — use [`scheduler_with_shards`] or [`scheduler_for`] to pin it).
 ///
 /// # Errors
 ///
@@ -61,8 +59,8 @@ pub fn scheduler_by_name(name: &str, seed: u64) -> Result<Box<dyn ChunkScheduler
     scheduler_with_shards(name, seed, ShardCount::Auto)
 }
 
-/// [`scheduler_by_name`] with an explicit shard count for the sharded
-/// auction schedulers (the sequential schedulers ignore it).
+/// [`scheduler_by_name`] with an explicit shard count for the flat auction
+/// schedulers (`auction_flat`, `auction_flat_warm`; the others ignore it).
 ///
 /// # Errors
 ///
@@ -141,8 +139,6 @@ pub fn scheduler_with_net(
     match name {
         "auction" => Ok(Box::new(AuctionScheduler::paper())),
         "auction_warm" => Ok(Box::new(AuctionScheduler::paper().warm_start())),
-        "auction_sharded" => Ok(Box::new(ShardedAuctionScheduler::paper(shards))),
-        "auction_sharded_warm" => Ok(Box::new(ShardedAuctionScheduler::paper(shards).warm_start())),
         "auction_flat" => Ok(Box::new(flat(false))),
         "auction_flat_warm" => Ok(Box::new(flat(true))),
         "auction_sim" => Ok(Box::new(sim(false))),
@@ -498,7 +494,18 @@ mod tests {
             let s = scheduler_by_name(name, 1).unwrap();
             assert!(!s.name().is_empty());
         }
-        assert!(scheduler_by_name("warp", 1).is_err());
+        // Unknown names, including the retired sharded registry names, are
+        // rejected with a message listing the 12 names that remain.
+        let known = format!("(known: {})", SCHEDULER_NAMES.join(", "));
+        assert_eq!(SCHEDULER_NAMES.len(), 12);
+        for name in ["warp", "auction_sharded", "auction_sharded_warm"] {
+            match scheduler_by_name(name, 1).err() {
+                Some(P2pError::InvalidConfig { field: "scheduler", reason }) => {
+                    assert_eq!(reason, format!("unknown scheduler `{name}` {known}"));
+                }
+                other => panic!("`{name}` must be rejected as invalid config, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -509,66 +516,48 @@ mod tests {
         assert_eq!(s.name(), scheduler_by_name(DEFAULT_SCHEDULER, 1).unwrap().name());
     }
 
+    /// The `shards` knob reaches the registry's sharding schedulers, the
+    /// flat auctions.
     #[test]
     fn scenario_shards_knob_configures_sharded_schedulers() {
-        let scenario = Scenario::new("x", "d").with_shards(p2p_streaming::ShardCount::Fixed(2));
-        let s = scheduler_for(&scenario, "auction_sharded").unwrap();
-        assert_eq!(s.name(), "auction_sharded");
-        let s = scheduler_for(&scenario, "auction_sharded_warm").unwrap();
-        assert_eq!(s.name(), "auction_sharded_warm");
+        let scenario = Scenario::new("x", "d").with_shards(ShardCount::Fixed(2));
+        assert_eq!(scheduler_for(&scenario, "auction_flat").unwrap().name(), "auction_flat");
+        assert_eq!(
+            scheduler_for(&scenario, "auction_flat_warm").unwrap().name(),
+            "auction_flat_warm"
+        );
         // The sequential schedulers accept (and ignore) the knob.
         assert_eq!(scheduler_for(&scenario, "auction").unwrap().name(), "auction");
-        assert!(scheduler_with_shards("auction_sharded", 1, p2p_streaming::ShardCount::Fixed(0))
-            .is_err());
-    }
-
-    #[test]
-    fn sharded_auction_sweeps_builtins_alongside_the_sequential_auction() {
-        let scenario = builtin("flash_crowd")
-            .unwrap()
-            .with_shards(p2p_streaming::ShardCount::Fixed(4))
-            .quick(6);
-        let report = run_scenario(
-            &scenario,
-            vec![
-                scheduler_for(&scenario, "auction").unwrap(),
-                scheduler_for(&scenario, "auction_sharded").unwrap(),
-            ],
-        )
-        .unwrap();
-        assert_eq!(report.runs[1].summary.scheduler, "auction_sharded");
-        for run in &report.runs {
-            assert_eq!(run.recorder.len() as u64, scenario.slots);
-            assert!(run.summary.transfers > 0);
-        }
+        assert!(scheduler_with_shards("auction_flat", 1, ShardCount::Fixed(0)).is_err());
     }
 
     /// The flat CSR scheduler is the same auction over a different memory
     /// layout: full scenario sweeps are bit-identical to the nested
-    /// schedulers at the same shard count (1 ≙ `auction`, ≥ 2 ≙
-    /// `auction_sharded`), warm variants included.
+    /// schedulers at the same shard count (1 ≙ `auction`, ≥ 2 ≙ the
+    /// sequential [`p2p_sched::ShardedAuctionScheduler`] oracle), warm
+    /// variants included.
     #[test]
     fn flat_scheduler_sweeps_are_bit_identical_to_nested() {
-        for (flat, nested, shards) in [
-            ("auction_flat", "auction", ShardCount::Fixed(1)),
-            ("auction_flat", "auction_sharded", ShardCount::Fixed(4)),
-            ("auction_flat_warm", "auction_warm", ShardCount::Fixed(1)),
-            ("auction_flat_warm", "auction_sharded_warm", ShardCount::Fixed(4)),
-        ] {
-            let scenario = builtin("flash_crowd").unwrap().with_shards(shards).quick(6);
-            let report = run_scenario(
-                &scenario,
-                vec![
-                    scheduler_for(&scenario, nested).unwrap(),
-                    scheduler_for(&scenario, flat).unwrap(),
-                ],
-            )
-            .unwrap();
-            assert_eq!(
-                report.runs[0].recorder.slots(),
-                report.runs[1].recorder.slots(),
-                "{flat} vs {nested} at shards {shards:?}"
-            );
+        for warm in [false, true] {
+            let flat = if warm { "auction_flat_warm" } else { "auction_flat" };
+            for shards in [ShardCount::Fixed(1), ShardCount::Fixed(4)] {
+                let scenario = builtin("flash_crowd").unwrap().with_shards(shards).quick(6);
+                let nested: Box<dyn ChunkScheduler> = if shards == ShardCount::Fixed(1) {
+                    scheduler_for(&scenario, if warm { "auction_warm" } else { "auction" }).unwrap()
+                } else {
+                    let oracle = p2p_sched::ShardedAuctionScheduler::paper(shards);
+                    Box::new(if warm { oracle.warm_start() } else { oracle })
+                };
+                let report =
+                    run_scenario(&scenario, vec![nested, scheduler_for(&scenario, flat).unwrap()])
+                        .unwrap();
+                assert_eq!(
+                    report.runs[0].recorder.slots(),
+                    report.runs[1].recorder.slots(),
+                    "{flat} vs {} at shards {shards:?}",
+                    report.runs[0].summary.scheduler
+                );
+            }
         }
     }
 

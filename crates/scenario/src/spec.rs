@@ -7,7 +7,8 @@
 //! * top-level `key = value` lines describe the base workload (`name`,
 //!   `description`, `profile`, `seed`, `slots`, `peers`, `churn`,
 //!   `arrival_rate`, `seeds_per_video`, `slot_build`, `shards` —
-//!   `"auto"` or a positive shard count for `auction_sharded` — and
+//!   `"auto"` or a positive shard count for `auction_flat` and
+//!   `auction_flat_warm` — and
 //!   `net` — `"ideal"`, `"lan"` or `"lossy"`, the fault-injection
 //!   preset for the virtual-time `auction_sim` schedulers);
 //! * each `[[event]]` table adds one timed event;

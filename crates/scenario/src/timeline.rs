@@ -90,8 +90,9 @@ pub struct Scenario {
     /// How each slot's welfare instance is constructed (cold rebuild vs the
     /// incremental slot-problem cache; both emit identical instances).
     pub slot_build: SlotBuild,
-    /// Shard count for sharded auction schedulers (`auction_sharded`):
-    /// `auto` follows the machine's cores, a fixed `N` pins the partition.
+    /// Shard count for the flat auction schedulers (`auction_flat`,
+    /// `auction_flat_warm`): `auto` adapts to the slot size and the
+    /// machine's cores, a fixed `N` pins the partition.
     pub shards: ShardCount,
     /// Network-model preset for the virtual-time sim schedulers
     /// (`auction_sim`): `"ideal"`, `"lan"` or `"lossy"` (spec key `net`,
@@ -137,7 +138,7 @@ impl Scenario {
         self
     }
 
-    /// Replaces the sharded-scheduler shard count (builder-style).
+    /// Replaces the flat-scheduler shard count (builder-style).
     #[must_use]
     pub fn with_shards(mut self, shards: ShardCount) -> Self {
         self.shards = shards;
@@ -181,7 +182,6 @@ impl Scenario {
             config.seeds = p2p_streaming::SeedPlacement::PerVideoTotal(k);
         }
         config.slot_build = self.slot_build;
-        config.shards = self.shards;
         config
     }
 
@@ -191,7 +191,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`P2pError::InvalidConfig`] for an empty name, zero slots,
-    /// an event beyond the horizon, or an invalid base configuration.
+    /// an event beyond the horizon, a zero shard count, or an invalid base
+    /// configuration.
     pub fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
             return Err(P2pError::invalid_config("name", "must not be empty"));
@@ -210,6 +211,7 @@ impl Scenario {
                 ));
             }
         }
+        self.shards.validate()?;
         if p2p_sched::NetworkModel::preset(&self.net).is_none() {
             return Err(P2pError::invalid_config(
                 "net",
@@ -294,11 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn shards_flow_into_the_base_config() {
+    fn shards_knob_configures_and_validates() {
         let s = Scenario::new("x", "d").with_shards(ShardCount::Fixed(4));
-        assert_eq!(s.base_config().shards, ShardCount::Fixed(4));
+        assert_eq!(s.shards, ShardCount::Fixed(4));
         s.validate().unwrap();
         assert_eq!(Scenario::new("x", "d").shards, ShardCount::Auto);
+        assert!(Scenario::new("x", "d").with_shards(ShardCount::Fixed(0)).validate().is_err());
     }
 
     #[test]

@@ -208,15 +208,15 @@ impl ChunkScheduler for AuctionScheduler {
     }
 }
 
-/// Schedules each slot with the sharded parallel auction
-/// ([`p2p_core::ShardedAuction`]): per-shard bid batches merged through the
-/// unchanged auctioneer logic with permanent retirement of priced-out
-/// requests, parallel across cores when the machine has them. The outcome
-/// satisfies the same Theorem 1 `n·ε`
-/// certificate as [`AuctionScheduler`]; tie-breaks can differ because the
-/// bid schedule differs, so welfare is ε-equivalent rather than
-/// bit-identical (and exactly identical at `shards = 1`, where the engine
-/// delegates to the synchronous sweep).
+/// Schedules each slot with the sequential multi-shard oracle
+/// ([`p2p_core::ShardedAuction`]): the nested-layout reference that tests
+/// compare [`FlatAuctionScheduler`] against bit for bit at two or more
+/// shards. It is not in the scenario registry; tests build it directly.
+/// The outcome satisfies the same Theorem 1 `n·ε` certificate as
+/// [`AuctionScheduler`]; tie-breaks can differ because the bid schedule
+/// differs, so welfare is ε-equivalent rather than bit-identical (and
+/// exactly identical at `shards = 1`, where the engine delegates to the
+/// synchronous sweep).
 ///
 /// [`ShardedAuctionScheduler::warm_start`] composes sharding with
 /// slot-to-slot price carry-over, reusing the identical [`PriceCarry`] and
@@ -269,9 +269,9 @@ impl ShardedAuctionScheduler {
 impl ChunkScheduler for ShardedAuctionScheduler {
     fn name(&self) -> &str {
         if self.warm_start {
-            "auction_sharded_warm"
+            "sharded_oracle_warm"
         } else {
-            "auction_sharded"
+            "sharded_oracle"
         }
     }
 
@@ -309,7 +309,7 @@ impl ChunkScheduler for ShardedAuctionScheduler {
 /// [`AuctionScheduler`] / [`ShardedAuctionScheduler`] with reusable scratch
 /// — zero engine allocations in the hot loop after the first slot.
 /// Outcomes are **bit-identical** to the nested-layout schedulers at every
-/// shard count (`shards = 1` ≙ `auction`, ≥ 2 ≙ `auction_sharded`,
+/// shard count (`shards = 1` ≙ `auction`, ≥ 2 ≙ [`ShardedAuctionScheduler`],
 /// `auto` adapts to the live slot size).
 ///
 /// [`FlatAuctionScheduler::warm_start`] composes with slot-to-slot price
@@ -563,7 +563,7 @@ pub(crate) mod tests {
     #[test]
     fn sharded_warm_scheduler_survives_provider_turnover() {
         let mut s = ShardedAuctionScheduler::with_epsilon(0.01, ShardCount::Fixed(4)).warm_start();
-        assert_eq!(s.name(), "auction_sharded_warm");
+        assert_eq!(s.name(), "sharded_oracle_warm");
         let slot1 = single_provider_problem(10, 0, 6.0);
         s.schedule(&slot1).unwrap();
         let slot2 = single_provider_problem(77, 1, 2.0);
@@ -577,7 +577,7 @@ pub(crate) mod tests {
     fn sharded_scheduler_matches_the_optimum_on_a_tiny_slot() {
         let p = problem();
         let mut s = ShardedAuctionScheduler::paper(ShardCount::Fixed(2));
-        assert_eq!(s.name(), "auction_sharded");
+        assert_eq!(s.name(), "sharded_oracle");
         assert_eq!(s.shards(), ShardCount::Fixed(2));
         assert!(!s.is_warm_start());
         let out = s.schedule(&p).unwrap();

@@ -5,9 +5,9 @@
 //!
 //! * [`AuctionScheduler`] — the paper's primal-dual auction (the
 //!   contribution under evaluation);
-//! * [`ShardedAuctionScheduler`] — the same auction on the sharded
-//!   parallel engine (`p2p_core::ShardedAuction`), for 10³–10⁴-request
-//!   slots;
+//! * [`ShardedAuctionScheduler`] — the same auction on the sequential
+//!   multi-shard oracle (`p2p_core::ShardedAuction`), which tests compare
+//!   the flat scheduler against at two or more shards;
 //! * [`FlatAuctionScheduler`] — the same auction on the flat CSR engine
 //!   (`p2p_core::csr::FlatAuction`): zero-allocation hot path over the
 //!   cache-emitted CSR compilation, bit-identical outcomes to the two

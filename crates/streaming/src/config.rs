@@ -1,6 +1,5 @@
 //! System configuration with the paper's defaults.
 
-use p2p_core::ShardCount;
 use p2p_topology::TopologyConfig;
 use p2p_types::{P2pError, SimDuration};
 use p2p_workload::{DeadlineValuation, StreamingParams};
@@ -189,13 +188,6 @@ pub struct SystemConfig {
     pub topology: TopologyConfig,
     /// How each slot's welfare instance is constructed (see [`SlotBuild`]).
     pub slot_build: SlotBuild,
-    /// Shard count for sharded auction schedulers (`auction_sharded`):
-    /// `auto` follows the machine's cores, a fixed `N` pins the partition
-    /// for reproducible benchmarking (spec key `shards`, CLI `--shards`).
-    /// Read by [`SystemConfig::sharded_scheduler`]; the scenario engine
-    /// mirrors its own `shards` knob into this field via `base_config()`.
-    /// The sequential schedulers ignore it.
-    pub shards: ShardCount,
     /// Which clock the slot-phase timings are measured on (see
     /// [`ClockMode`]). The scenario runner flips this to `Virtual` for the
     /// `auction_sim` schedulers.
@@ -227,7 +219,6 @@ impl SystemConfig {
             static_stagger: SimDuration::from_secs(30),
             topology: TopologyConfig::paper_defaults(5),
             slot_build: SlotBuild::Cold,
-            shards: ShardCount::Auto,
             clock: ClockMode::Wall,
             seed: 42,
         }
@@ -256,7 +247,6 @@ impl SystemConfig {
             static_stagger: SimDuration::from_secs(10),
             topology: TopologyConfig::paper_defaults(2),
             slot_build: SlotBuild::Cold,
-            shards: ShardCount::Auto,
             clock: ClockMode::Wall,
             seed: 42,
         }
@@ -277,26 +267,11 @@ impl SystemConfig {
         self
     }
 
-    /// Replaces the sharded-scheduler shard count (builder-style).
-    #[must_use]
-    pub fn with_shards(mut self, shards: ShardCount) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Replaces the phase-timing clock mode (builder-style).
     #[must_use]
     pub fn with_clock(mut self, clock: ClockMode) -> Self {
         self.clock = clock;
         self
-    }
-
-    /// A sharded auction scheduler (paper ε = 0 rule) configured by this
-    /// configuration's `shards` knob — the scheduler to hand
-    /// [`crate::System::new`] when scheduling slots with
-    /// `auction_sharded`.
-    pub fn sharded_scheduler(&self) -> p2p_sched::ShardedAuctionScheduler {
-        p2p_sched::ShardedAuctionScheduler::paper(self.shards)
     }
 
     /// Enables churn with the paper's Sec. V-E departure probability
@@ -386,7 +361,6 @@ impl SystemConfig {
         if self.isp_count != self.topology.isp_count {
             return Err(P2pError::invalid_config("topology.isp_count", "must match isp_count"));
         }
-        self.shards.validate()?;
         match self.seeds {
             SeedPlacement::PerVideoTotal(0) | SeedPlacement::PerIspPerVideo(0) => {
                 Err(P2pError::invalid_config("seeds", "seed count must be positive"))
@@ -448,18 +422,6 @@ mod tests {
         assert_eq!(c.seed, 7);
         assert_eq!(c.early_departure_prob, 0.6);
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn shards_knob_configures_and_validates() {
-        let c = SystemConfig::small_test().with_shards(ShardCount::Fixed(8));
-        assert_eq!(c.shards, ShardCount::Fixed(8));
-        c.validate().unwrap();
-        assert_eq!(c.sharded_scheduler().shards(), ShardCount::Fixed(8));
-        let mut c = SystemConfig::paper();
-        assert_eq!(c.shards, ShardCount::Auto);
-        c.shards = ShardCount::Fixed(0);
-        assert!(c.validate().is_err());
     }
 
     #[test]

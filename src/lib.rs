@@ -20,7 +20,7 @@
 //! | [`net`] | `p2p-net` | networked runtime: tracker + peer processes over a TCP wire protocol |
 //! | [`streaming`] | `p2p-streaming` | the P2P VoD system emulator |
 //! | [`scenario`] | `p2p-scenario` | declarative scenarios: mid-run event timelines, spec parser, runner |
-//! | [`runtime`] | `p2p-runtime` | threaded process-per-peer execution |
+//! | [`runtime`] | `p2p-runtime` | the worker pool the flat auction engine fans out to |
 //! | [`metrics`] | `p2p-metrics` | series, stats, CSV, ASCII plots |
 //!
 //! # Quickstart

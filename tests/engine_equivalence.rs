@@ -1,14 +1,12 @@
-//! Cross-crate integration: the four independent solvers — synchronous
-//! auction, discrete-event distributed auction, threaded auction and the
-//! exact min-cost-flow — agree on the same instances.
+//! Cross-crate integration: the independent solvers — synchronous
+//! auction, discrete-event distributed auction, the Fig. 1 assignment
+//! expansion and the exact min-cost-flow — agree on the same instances.
 
 use isp_p2p::core::bertsekas::solve_via_expansion;
 use isp_p2p::core::dist::{DistConfig, DistributedAuction, LatencyFn};
 use isp_p2p::prelude::*;
-use isp_p2p::runtime::{ThreadedAuction, ThreadedConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// A generic (tie-free w.p. 1) random instance shaped like a slot problem.
 fn random_instance(seed: u64, providers: usize, requests: usize) -> WelfareInstance {
@@ -69,18 +67,6 @@ fn distributed_equals_exact_under_heterogeneous_latency() {
         let exact = inst.optimal_welfare().get();
         assert!((out.assignment.welfare(&inst).get() - exact).abs() < 1e-6, "seed {seed}");
     }
-}
-
-#[test]
-fn threaded_respects_epsilon_bound() {
-    let inst = random_instance(555, 5, 20);
-    let eps = 0.01;
-    let cfg = ThreadedConfig { epsilon: eps, ..ThreadedConfig::fast_test() };
-    let out = ThreadedAuction::new(cfg).run(&inst, |_, _| Duration::from_micros(150)).unwrap();
-    let exact = inst.optimal_welfare().get();
-    let bound = inst.request_count() as f64 * eps + 1e-9;
-    assert!(out.assignment.welfare(&inst).get() >= exact - bound);
-    assert!(out.assignment.validate(&inst).is_ok());
 }
 
 #[test]

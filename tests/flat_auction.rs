@@ -1,13 +1,16 @@
 //! Integration test: the flat CSR auction end to end through the facade —
 //! every built-in scenario scheduled by `auction_flat` produces slot
 //! metrics **bit-identical** to its nested-layout counterpart (`auction`
-//! at shards = 1, `auction_sharded` at shards ≥ 2; warm variants
-//! included), the incremental slot-build path feeds the flat scheduler its
-//! cache-emitted CSR, and repeated scenario runs on one shared
-//! `WorkerPool` spawn zero new threads.
+//! at shards = 1, the sequential [`ShardedAuctionScheduler`] oracle at
+//! shards ≥ 2; warm variants included), every slot the flat engine
+//! schedules conserves chunks and carries the Theorem 1 certificate, the
+//! incremental slot-build path feeds the flat scheduler its cache-emitted
+//! CSR, and repeated scenario runs on one shared `WorkerPool` spawn zero
+//! new threads.
 
 use isp_p2p::prelude::*;
 use isp_p2p::scenario::BUILTIN_NAMES;
+use isp_p2p::sched::ScheduleStats;
 use std::sync::Arc;
 
 /// Every built-in scenario under `auction_flat` is bit-identical, slot by
@@ -16,20 +19,21 @@ use std::sync::Arc;
 #[test]
 fn every_builtin_is_bit_identical_to_the_nested_scheduler() {
     for name in BUILTIN_NAMES {
-        for (nested, shards) in
-            [("auction", ShardCount::Fixed(1)), ("auction_sharded", ShardCount::Fixed(4))]
-        {
+        for shards in [ShardCount::Fixed(1), ShardCount::Fixed(4)] {
             for slot_build in [SlotBuild::Cold, SlotBuild::Incremental] {
                 let scenario =
                     builtin(name).unwrap().with_shards(shards).with_slot_build(slot_build).quick(6);
+                let nested: Box<dyn ChunkScheduler> = if shards == ShardCount::Fixed(1) {
+                    scheduler_for(&scenario, "auction").unwrap()
+                } else {
+                    Box::new(ShardedAuctionScheduler::paper(shards))
+                };
                 let report = run_scenario(
                     &scenario,
-                    vec![
-                        scheduler_for(&scenario, nested).unwrap(),
-                        scheduler_for(&scenario, "auction_flat").unwrap(),
-                    ],
+                    vec![nested, scheduler_for(&scenario, "auction_flat").unwrap()],
                 )
                 .unwrap();
+                let nested = &report.runs[0].summary.scheduler;
                 assert_eq!(report.runs[1].summary.scheduler, "auction_flat");
                 assert_eq!(
                     report.runs[0].recorder.slots(),
@@ -51,7 +55,7 @@ fn warm_flat_sweeps_match_nested_warm_sweeps() {
         let report = run_scenario(
             &scenario,
             vec![
-                scheduler_for(&scenario, "auction_sharded_warm").unwrap(),
+                Box::new(ShardedAuctionScheduler::paper(ShardCount::Fixed(4)).warm_start()),
                 scheduler_for(&scenario, "auction_flat_warm").unwrap(),
             ],
         )
@@ -73,12 +77,65 @@ fn auto_shards_sweep_identically() {
     let report = run_scenario(
         &scenario,
         vec![
-            scheduler_for(&scenario, "auction_sharded").unwrap(),
+            Box::new(ShardedAuctionScheduler::paper(ShardCount::Auto)),
             scheduler_for(&scenario, "auction_flat").unwrap(),
         ],
     )
     .unwrap();
     assert_eq!(report.runs[0].recorder.slots(), report.runs[1].recorder.slots());
+}
+
+/// Conservation + Theorem 1 on every slot of every built-in scenario: the
+/// flat engine's assignment at eight shards is primal-feasible (each
+/// request served at most once, provider capacities respected) and the
+/// primal/dual pair passes the complementary-slackness certificate within
+/// the ε-auction's `n·ε` tolerance. (Streaming slots carry structural ties,
+/// so the ε > 0 configuration is the certified one — same caveat as the
+/// synchronous engine's scenario suite.)
+#[test]
+fn flat_slots_conserve_chunks_and_stay_certified() {
+    const EPS: f64 = 1e-2;
+    for name in BUILTIN_NAMES {
+        let scenario = builtin(name).unwrap().quick(8);
+        let mut events: Vec<&TimedEvent> = scenario.events.iter().collect();
+        events.sort_by_key(|e| e.at_slot);
+        let mut sys =
+            System::new(scenario.base_config(), Box::new(AuctionScheduler::paper())).unwrap();
+        if scenario.initial_peers > 0 {
+            sys.add_static_peers(scenario.initial_peers).unwrap();
+        }
+        if scenario.churn {
+            sys.enable_poisson_churn().unwrap();
+        }
+        let mut engine = FlatAuction::new(AuctionConfig::with_epsilon(EPS), ShardCount::Fixed(8));
+        for slot in 0..scenario.slots {
+            for e in events.iter().filter(|e| e.at_slot == slot) {
+                e.event.apply(&mut sys).unwrap();
+            }
+            let problem = sys.prepare_slot().unwrap();
+            let outcome = engine.run(&problem.csr_instance()).unwrap();
+            // Chunk-delivery conservation (primal feasibility).
+            assert!(
+                outcome.assignment.validate(&problem.instance).is_ok(),
+                "{name} slot {slot}: infeasible assignment"
+            );
+            // Theorem 1: certified optimal within the ε-auction tolerance.
+            let tol = EPS * (problem.instance.request_count() as f64 + 1.0);
+            let report =
+                verify_optimality(&problem.instance, &outcome.assignment, &outcome.duals, tol);
+            assert!(report.is_optimal(), "{name} slot {slot}: violations {:?}", report.violations);
+            let assigned = outcome.assignment.assigned_count() as u64;
+            let metrics = sys
+                .complete_slot(
+                    &problem,
+                    &Schedule { assignment: outcome.assignment, stats: ScheduleStats::default() },
+                )
+                .unwrap();
+            assert_eq!(metrics.transfers, assigned, "{name} slot {slot}");
+            assert!(metrics.inter_isp_transfers <= metrics.transfers, "{name} slot {slot}");
+            assert!(metrics.missed_chunks <= metrics.due_chunks, "{name} slot {slot}");
+        }
+    }
 }
 
 /// One shared `WorkerPool` serves every flat scheduler of a sweep and
